@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import struct
 import zipfile
+import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,17 @@ SCHEMA_VERSION = 1
 
 #: Canonical file suffix; readers accept any NPZ-shaped container.
 CDRZ_SUFFIX = ".cdrz"
+
+#: What the ZIP and ``.npy`` layers raise on a missing, truncated or
+#: bit-flipped container; the readers report each as CDRValidationError.
+_UNREADABLE_ERRORS = (
+    OSError,
+    ValueError,
+    EOFError,
+    struct.error,
+    zlib.error,
+    zipfile.BadZipFile,
+)
 
 #: Member holding the JSON header (a 0-d unicode array).
 _HEADER_KEY = "header"
@@ -357,14 +369,18 @@ def read_cdrz(
     fall back to a buffered load transparently.
 
     No :class:`~repro.cdr.records.ConnectionRecord` objects are built on
-    this path.
+    this path.  A container that cannot be read raises
+    :class:`~repro.cdr.errors.CDRValidationError`.
     """
     path = Path(path)
     try:
-        npz = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        return _read_cdrz(path, mmap)
+    except _UNREADABLE_ERRORS as exc:
         raise CDRValidationError(f"{path}: unreadable cdrz container: {exc}") from exc
-    with npz:
+
+
+def _read_cdrz(path: Path, mmap: bool) -> tuple[ColumnarCDRBatch, CdrzHeader]:
+    with np.load(path, allow_pickle=False) as npz:
         if _HEADER_KEY not in npz.files:
             raise CDRValidationError(f"{path}: cdrz container missing header member")
         header = _parse_header(npz[_HEADER_KEY][()], path)
@@ -448,13 +464,15 @@ class ShardManifestEntry:
 def read_cdrz_header(path: str | Path) -> CdrzHeader:
     """Read just the header member of a container (no column data paged in)."""
     try:
-        npz = np.load(Path(path), allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        with np.load(Path(path), allow_pickle=False) as npz:
+            if _HEADER_KEY not in npz.files:
+                raise CDRValidationError(
+                    f"{path}: cdrz container missing header member"
+                )
+            raw = npz[_HEADER_KEY][()]
+    except _UNREADABLE_ERRORS as exc:
         raise CDRValidationError(f"{path}: unreadable cdrz container: {exc}") from exc
-    with npz:
-        if _HEADER_KEY not in npz.files:
-            raise CDRValidationError(f"{path}: cdrz container missing header member")
-        return _parse_header(npz[_HEADER_KEY][()], path)
+    return _parse_header(raw, path)
 
 
 def shard_manifest(

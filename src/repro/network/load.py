@@ -19,11 +19,13 @@ without storing the full 90-day series.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.algorithms.seeding import standard_normal_runs
 from repro.algorithms.timebins import BINS_PER_DAY, BINS_PER_WEEK, StudyClock
 from repro.network.geometry import distance
 from repro.network.topology import NetworkTopology, Tier
@@ -104,6 +106,15 @@ class CellLoadModel:
         so two models built with the same arguments agree bin for bin.
     noise_std:
         Standard deviation of the per-bin utilization noise.
+
+    Noise streams: day ``d`` of cell ``c`` adds the noise
+    ``np.random.default_rng((seed * 1_000_003 + c) * 131 + d).normal(0,
+    noise_std, 96)`` to the cell's template, then clips to [0.01, 1].
+    :meth:`day_series` spells that out one stream at a time and stays the
+    definition; :meth:`series_block` (which :meth:`series` and
+    :meth:`busy_bins` use) seeds all streams of a block in one vectorized
+    pass and draws them through one reused generator, bit-identical to it.
+    ``tests/network/test_load.py`` pins the two paths to each other.
     """
 
     def __init__(
@@ -114,6 +125,8 @@ class CellLoadModel:
         noise_std: float = 0.03,
         hot_district_radius_km: float = HOT_DISTRICT_RADIUS_KM,
     ) -> None:
+        if not noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {noise_std}")
         self.topology = topology
         self.clock = clock
         self.seed = seed
@@ -195,7 +208,12 @@ class CellLoadModel:
         return noise
 
     def day_series(self, cell_id: int, day: int) -> npt.NDArray[np.float64]:
-        """Utilization of one cell for one study day, 96 bins in [0.01, 1]."""
+        """Utilization of one cell for one study day, 96 bins in [0.01, 1].
+
+        This is the definition of the series, stream by stream;
+        :meth:`series_block` computes the same values for many cells and
+        days at once.
+        """
         weekday = (day + self.clock.start_weekday) % 7
         shape = self._we_shape if weekday >= 5 else self._wd_shape
         prof = self._profiles[cell_id]
@@ -209,14 +227,44 @@ class CellLoadModel:
         day = self.clock.day_index(t)
         return float(self.day_series(cell_id, day)[self.clock.bin15_of_day(t)])
 
+    def series_block(
+        self, cell_ids: Sequence[int], n_days: int | None = None
+    ) -> npt.NDArray[np.float64]:
+        """Utilization series of many cells, ``(len(cell_ids), n_days * 96)``.
+
+        Row ``i`` is bit-identical to ``np.concatenate([day_series(c, d) for
+        d in range(n_days)])`` for ``c = cell_ids[i]``.  Every (cell, day)
+        noise stream is seeded in one vectorized pass
+        (:func:`~repro.algorithms.seeding.standard_normal_runs`) instead of
+        one ``default_rng`` per stream, and the template, noise and clip
+        arithmetic runs once over the whole block.  The block holds
+        ``len(cell_ids) * n_days * 96`` float64s; callers bound its size by
+        passing cells in batches.
+        """
+        days = self.clock.n_days if n_days is None else n_days
+        cells = list(cell_ids)
+        floor = np.asarray([self._profiles[cid].floor for cid in cells])
+        span = np.asarray([self._profiles[cid].ceiling for cid in cells]) - floor
+        block = np.empty((len(cells), days, BINS_PER_DAY))
+        standard_normal_runs(
+            [(self.seed * 1_000_003 + cid) * 131 for cid in cells], block
+        )
+        block *= self.noise_std
+        # Same float operations in the same order as day_series: the whole
+        # template first, then the noise.  Row 0 weekday, row 1 weekend.
+        templates = span[:, None, None] * np.stack([self._wd_shape, self._we_shape])
+        templates += floor[:, None, None]
+        for day in range(days):
+            weekend = (day + self.clock.start_weekday) % 7 >= 5
+            block[:, day] += templates[:, int(weekend)]
+        np.clip(block, 0.01, 1.0, out=block)
+        return block.reshape(len(cells), days * BINS_PER_DAY)
+
     def series(
         self, cell_id: int, n_days: int | None = None
     ) -> npt.NDArray[np.float64]:
         """Full utilization series for a cell, ``n_days * 96`` bins."""
-        days = self.clock.n_days if n_days is None else n_days
-        series: npt.NDArray[np.float64] = np.concatenate(
-            [self.day_series(cell_id, d) for d in range(days)]
-        )
+        series: npt.NDArray[np.float64] = self.series_block([cell_id], n_days)[0]
         return series
 
     def mean_weekly_utilization(self, cell_id: int) -> float:

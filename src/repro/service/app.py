@@ -39,6 +39,7 @@ from functools import partial
 from typing import TYPE_CHECKING, TypeVar
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.cdr.errors import CDRValidationError
 from repro.service.routes import ANALYSIS_ROUTES, QueryError
 from repro.service.state import ServiceState, canonical_json
 
@@ -54,15 +55,21 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     500: "Internal Server Error",
 }
+
+#: Largest request body the service reads.  Its POST routes take no body,
+#: so anything bigger is refused before a byte of it is buffered.
+MAX_BODY_BYTES = 64 * 1024
 
 #: Cap on concurrent state-touching requests; beyond this they queue.
 DEFAULT_EXECUTOR_THREADS = 8
 
 #: What a request handler may raise without killing its connection: the
 #: error families analysis code and the shard I/O can produce.  QueryError,
-#: KeyError and ValueError are mapped to typed statuses before this net.
+#: KeyError, ValueError and CDRValidationError are mapped to typed statuses
+#: before this net.
 _REQUEST_ERRORS = (
     ArithmeticError,
     AttributeError,
@@ -88,6 +95,18 @@ def _json_response(status: int, payload: Mapping[str, object]) -> _Response:
 
 def _error(status: int, message: str) -> _Response:
     return _json_response(status, {"error": message, "status": status})
+
+
+def _content_length(raw: str) -> int | _Response:
+    """The body length a request declares, or the 400/413 that refuses it."""
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        return _error(400, f"malformed Content-Length {raw!r}")
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        return _error(413, f"request body over {MAX_BODY_BYTES} bytes")
+    return int(digits)
 
 
 class ServiceApp:
@@ -136,7 +155,11 @@ class ServiceApp:
                 if headers is None:
                     await self._write(writer, _error(400, "malformed headers"))
                     break
-                body_len = int(headers.get("content-length", "0") or "0")
+                body_len = _content_length(headers.get("content-length", ""))
+                if isinstance(body_len, _Response):
+                    # The body stays unread, so the connection cannot go on.
+                    await self._write(writer, body_len, keep_alive=False)
+                    break
                 if body_len:
                     await reader.readexactly(body_len)
                 response = await self._dispatch(method.upper(), target)
@@ -201,7 +224,8 @@ class ServiceApp:
             return _error(exc.status, exc.message)
         except KeyError as exc:
             return _error(404, f"not found: {exc.args[0] if exc.args else path}")
-        except ValueError as exc:
+        except (ValueError, CDRValidationError) as exc:
+            # CDRValidationError: an unreadable shard in the trace directory.
             return _error(409, str(exc))
         except _REQUEST_ERRORS:
             return _error(500, "internal error")

@@ -182,6 +182,10 @@ class ServiceState:
         self._workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
         self._config_fp = config.result_fingerprint()
         self._partials: dict[ShardKey, bytes | None] = {}
+        # The unfinalized fold of the shards in _folded_keys (scan order),
+        # kept so an ingest that only appends shards absorbs just those.
+        self._folded: FusedPartial | None = None
+        self._folded_keys: list[ShardKey] = []
         self._scan: list[ShardEntry] = []
         self._trace_fp = ""
         self._report: FusedReport | None = None
@@ -246,18 +250,37 @@ class ServiceState:
         return [Path(entry.path) for entry in scan]
 
     def _fold(self, scan: list[ShardEntry]) -> None:
-        """Fold cached partials in shard-index order and finalize."""
-        unpickled: list[FusedPartial] = []
-        for entry in scan:
-            blob = self._partials[entry.key]
-            if blob is not None:
-                unpickled.append(pickle.loads(blob))
-        if not unpickled:
+        """Fold cached partials in shard-index order and finalize.
+
+        When every shard of the previous fold still leads the scan (new
+        shards were only appended after it, as a live trace grows), the
+        kept fold absorbs just the new partials.  That is the same absorb
+        sequence a full fold runs, so the report is bit-identical to one.
+        """
+        blobs = [
+            (entry.key, blob)
+            for entry in scan
+            if (blob := self._partials[entry.key]) is not None
+        ]
+        keys = [key for key, _ in blobs]
+        # Taken out while it is extended: a failed absorb must not leave a
+        # half-extended fold that the next ingest would trust.
+        prefix, self._folded = self._folded, None
+        done = len(self._folded_keys)
+        if prefix is not None and keys[:done] == self._folded_keys:
+            for _, blob in blobs[done:]:
+                prefix.absorb_partial(pickle.loads(blob))
+            merged: FusedPartial | None = prefix
+        elif blobs:
+            merged = fold_fused_partials(pickle.loads(blob) for _, blob in blobs)
+        else:
+            merged = None
+        self._folded, self._folded_keys = merged, keys
+        if merged is None:
             self._report = None
             self._n_records = 0
             self._n_ghosts = 0
             return
-        merged = fold_fused_partials(unpickled)
         self._report = finalize_fused(merged, self.context.clock)
         self._n_records = merged.n_records
         self._n_ghosts = merged.n_ghosts

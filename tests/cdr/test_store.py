@@ -17,6 +17,7 @@ from repro.cdr.store import (
     read_batch_cdrz,
     read_cdr_batch,
     read_cdrz,
+    read_cdrz_header,
     resolve_shards,
     shard_manifest,
     write_batch_cdrz,
@@ -335,6 +336,32 @@ class TestForeignContainers:
         path.write_bytes(b"definitely not a zip")
         with pytest.raises(CDRValidationError, match="unreadable"):
             read_cdrz(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda raw: raw[: len(raw) // 2], id="cut-in-half"),
+            pytest.param(lambda raw: raw[:-10], id="last-10-bytes-missing"),
+            pytest.param(
+                lambda raw: raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:],
+                id="byte-200-flipped",
+            ),
+            pytest.param(lambda raw: b"PK\x03\x04" + b"\x13garbage" * 40, id="pk-garbage"),
+        ],
+    )
+    def test_corrupt_shard_raises_typed_error(self, tmp_path, unsorted_col, corrupt):
+        good = tmp_path / "good.cdrz"
+        write_batch_cdrz(good, unsorted_col)
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        path = shards / "shard-00000.cdrz"
+        path.write_bytes(corrupt(good.read_bytes()))
+        with pytest.raises(CDRValidationError, match="unreadable"):
+            read_cdrz(path)
+        with pytest.raises(CDRValidationError, match="unreadable"):
+            read_cdrz_header(path)
+        with pytest.raises(CDRValidationError, match="unreadable"):
+            shard_manifest(shards)
 
     def test_row_count_mismatch_rejected(self, tmp_path, unsorted_col):
         lying = '{"format": "cdrz", "n_rows": 7, "schema_version": 1, "sorted": false}'

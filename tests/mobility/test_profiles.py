@@ -37,6 +37,14 @@ class TestItinerary:
         assert 1 <= len(it.rare_days) <= 15
         assert all(0 <= d < 28 for d in it.rare_days)
 
+    @pytest.mark.parametrize("n_days", [1, 2, 3])
+    def test_rare_days_fit_short_studies(self, roads, rng, n_days):
+        short = DailyTripPlanner(roads, StudyClock(start_weekday=0, n_days=n_days))
+        for _ in range(20):
+            it = short.make_itinerary(CarProfile.RARE, rng)
+            assert 1 <= len(it.rare_days) <= n_days
+            assert all(0 <= d < n_days for d in it.rare_days)
+
     def test_non_rare_have_no_rare_days(self, planner, rng):
         it = planner.make_itinerary(CarProfile.COMMUTER, rng)
         assert it.rare_days == frozenset()

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, BINS_PER_WEEK, DAY
+from repro.algorithms.timebins import (
+    BIN_SECONDS,
+    BINS_PER_DAY,
+    BINS_PER_WEEK,
+    DAY,
+    StudyClock,
+)
+from repro.core import busy
+from repro.core.busy import BusySchedule
 from repro.network.load import (
     CellLoadModel,
     LoadProfile,
@@ -115,6 +123,85 @@ class TestCellLoadModel:
         monday = template[:BINS_PER_DAY]
         saturday = template[5 * BINS_PER_DAY : 6 * BINS_PER_DAY]
         assert not np.allclose(monday, saturday)
+
+
+def _day_by_day(model, cells, n_days):
+    """The stream-by-stream definition the block path must reproduce."""
+    return np.stack(
+        [np.concatenate([model.day_series(c, d) for d in range(n_days)]) for c in cells]
+    )
+
+
+class TestSeriesBlock:
+    """``series_block`` is bit-identical to ``day_series`` stream by stream."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 40000, 10**15])
+    def test_load_seeds(self, topology, seed):
+        # 40000 gives two-word stream seeds, 10**15 three-word ones.
+        model = CellLoadModel(topology, StudyClock(n_days=3), seed=seed)
+        cells = sorted(topology.cells)[::97]
+        got = model.series_block(cells)
+        assert got.shape == (len(cells), 3 * BINS_PER_DAY)
+        assert got.tobytes() == _day_by_day(model, cells, 3).tobytes()
+
+    @pytest.mark.parametrize("start_weekday", range(7))
+    def test_start_weekdays(self, topology, start_weekday):
+        clock = StudyClock(start_weekday=start_weekday, n_days=7)
+        model = CellLoadModel(topology, clock, seed=11)
+        cells = sorted(topology.cells)[::331]
+        assert (
+            model.series_block(cells).tobytes()
+            == _day_by_day(model, cells, 7).tobytes()
+        )
+
+    @pytest.mark.parametrize("n_days", [1, 7, 90])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.03])
+    def test_study_lengths_and_noise(self, topology, n_days, noise_std):
+        clock = StudyClock(start_weekday=4, n_days=n_days)
+        model = CellLoadModel(topology, clock, seed=5, noise_std=noise_std)
+        cells = sorted(topology.cells)[:: 400 if n_days == 90 else 150]
+        expected = _day_by_day(model, cells, n_days)
+        assert model.series_block(cells).tobytes() == expected.tobytes()
+        for row, cid in enumerate(cells):
+            assert model.series(cid).tobytes() == expected[row].tobytes()
+            assert np.array_equal(model.busy_bins(cid, 0.8), expected[row] > 0.8)
+
+    def test_n_days_override(self, load_model, topology):
+        cells = sorted(topology.cells)[:3]
+        assert (
+            load_model.series_block(cells, n_days=2).tobytes()
+            == _day_by_day(load_model, cells, 2).tobytes()
+        )
+
+    def test_mask_table_grid_is_series_over_threshold(self, topology, monkeypatch):
+        # A small batch budget so the grid is filled over many batches.
+        monkeypatch.setattr(busy, "MASK_BATCH_BYTES", 7 * 2 * BINS_PER_DAY * 8)
+        model = CellLoadModel(topology, StudyClock(start_weekday=2, n_days=2), seed=3)
+        schedule = BusySchedule.from_load_model(model, threshold=0.8)
+        cell_ids, lens, grid = schedule.mask_table()
+        assert cell_ids.tolist() == sorted(topology.cells)
+        assert (lens == 2 * BINS_PER_DAY).all()
+        series = _day_by_day(model, cell_ids.tolist(), 2)
+        expected = np.stack([model.series(int(c)) > 0.8 for c in cell_ids])
+        assert np.array_equal(expected, series > 0.8)
+        assert grid.tobytes() == expected.tobytes()
+        assert np.array_equal(schedule.busy_mask(int(cell_ids[5])), expected[5])
+
+    def test_negative_seed_raises_numpys_error(self, topology, clock):
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as got:
+            CellLoadModel(topology, clock, seed=-1)
+        assert str(got.value) == str(expected.value)
+        model = CellLoadModel(topology, clock, seed=0)
+        model.seed = -1
+        with pytest.raises(ValueError) as got:
+            model.series_block([1])
+        assert str(got.value) == str(expected.value)
+
+    def test_rejects_negative_noise_std(self, topology, clock):
+        with pytest.raises(ValueError):
+            CellLoadModel(topology, clock, noise_std=-0.01)
 
 
 class TestHelpers:

@@ -15,6 +15,7 @@ The contracts under test (see ``repro/service/``):
 
 import json
 import shutil
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.service import (
     result_key,
     scenario_context,
 )
+from repro.service.app import MAX_BODY_BYTES
 from repro.service.routes import ANALYSIS_ROUTES
 from repro.simulate.generator import TraceGenerator
 from repro.simulate.scenarios import scenario
@@ -111,8 +113,17 @@ class TestIncrementalIngest:
             [(0, 1, 2, 4), (3,)],
             [(4,), (0, 2), (1, 3)],
             [(0, 1, 2, 3, 4)],
+            [(0,), (1,), (2,), (3,), (4,)],
+            [(0, 2), (3,), (1,), (4,)],
         ],
-        ids=["tail-append", "middle-insert", "scattered", "single-shot"],
+        ids=[
+            "tail-append",
+            "middle-insert",
+            "scattered",
+            "single-shot",
+            "one-shard-tail-appends",
+            "tail-then-middle-then-tail",
+        ],
     )
     def test_bit_identical_at_any_ingest_order(
         self, tmp_path, chunks, cold_bytes, stages
@@ -331,6 +342,40 @@ class TestHttpEndpoints:
                 client.query("connect_time", {"q": "120"})
             assert bad_range.value.status == 400
 
+    @staticmethod
+    def raw_request(port, head):
+        """Send raw request bytes; return the reply read until the server closes."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            ("1.5", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+            ("99999999999", 413),
+            ("9" * 5000, 413),
+        ],
+    )
+    def test_bad_content_length_gets_typed_error(self, live_service, length, status):
+        head = f"POST /ingest HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        got, body = self.raw_request(live_service.port, head.encode())
+        assert (got, body["status"]) == (status, status)
+        with ServiceClient("127.0.0.1", live_service.port) as client:
+            assert client.healthz() == {"status": "ok"}
+
+    def test_small_body_is_read_and_ignored(self, live_service):
+        head = b"POST /invalidate HTTP/1.1\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
+        status, body = self.raw_request(live_service.port, head)
+        assert status == 200 and "dropped" in body
+
     def test_stats_and_invalidate(self, live_service):
         with ServiceClient("127.0.0.1", live_service.port) as client:
             client.query("presence")
@@ -358,6 +403,24 @@ class TestHttpEndpoints:
 
 
 class TestHttpIngest:
+    def test_unreadable_shard_gets_typed_error(self, tmp_path, chunks):
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, range(2))
+        state = ServiceState(service_config(trace))
+        with ServiceThread(state) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.ingest()
+                good = (trace / "shard-00001.cdrz").read_bytes()
+                bad = trace / "shard-00002.cdrz"
+                bad.write_bytes(good[: len(good) // 2])
+                with pytest.raises(ServiceClientError) as refused:
+                    client.ingest()
+                assert refused.value.status == 409
+                assert "unreadable" in refused.value.message
+                assert client.healthz() == {"status": "ok"}
+                bad.unlink()
+                assert client.ingest()["n_shards"] == 2
+
     def test_http_ingest_matches_cold_full_run(self, tmp_path, chunks):
         trace = tmp_path / "trace"
         write_chunks(trace, chunks, range(N_SHARDS - 1))

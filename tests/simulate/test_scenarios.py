@@ -44,6 +44,11 @@ class TestScenarioShapes:
         ds = TraceGenerator(smoke_scenario()).generate()
         assert ds.n_records > 100
 
+    def test_one_day_study_generates(self):
+        # With 3 cars one is RARE; its driving days must fit a 1-day study.
+        ds = TraceGenerator(smoke_scenario(n_cars=3, n_days=1)).generate()
+        assert ds.n_records > 0
+
 
 class TestFleetGrowth:
     def test_growth_produces_positive_trend(self):
