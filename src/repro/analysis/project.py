@@ -5,7 +5,7 @@ Per-file rules (:class:`repro.analysis.registry.Rule`) see one
 right for local invariants (an unseeded RNG is wrong wherever it appears).
 The merge-safety and parity-contract families are different in kind: whether
 a class shipped across a worker boundary is mergeable depends on *another
-module's* ``absorb_partial`` signature, and whether a ``*_columnar`` twin is
+module's* ``absorb_partial`` signature, and whether a ``*_fused`` twin is
 parity-tested depends on the *test tree*.  :class:`ProjectContext` gives
 those rules one project-wide view, built once per run:
 
@@ -339,7 +339,7 @@ class ProjectContext:
         """Per test file, every identifier it mentions (names + attributes).
 
         The index answers "does any test exercise symbol X" without
-        executing tests: a parity test that imports ``busy_exposure_columnar``
+        executing tests: a parity test that imports ``busy_exposure_fused``
         and calls ``busy_exposure`` mentions both.
         """
         index: dict[str, frozenset[str]] = {}

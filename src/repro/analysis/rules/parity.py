@@ -1,13 +1,14 @@
 """Parity-contract rule: every fast-path twin stays parity-tested.
 
-PRs 3–6 kept the columnar fast paths honest with one discipline: each
-vectorized twin (``busy_exposure_columnar`` …) is asserted bit-identical to
-its record-based reference in a dedicated parity test.  That discipline
-lived in review habit; RL017 turns it into a machine-checked invariant by
-cross-referencing the source tree's twin inventory against the test tree's
-identifier index.  PR 8 widened the twin inventory: the fused engine's
-public ``*_fused`` entry points carry the same bit-identity promise as the
-``*_columnar`` twins, so they fall under the same contract.
+A fast path is honest only while a test asserts it bit-identical to its
+record-based reference: the fused engine's public ``*_fused`` entry points
+(``busy_exposure_fused`` …) against the reference loops in
+``tests/core/test_fused_parity.py``.  RL017 turns that discipline into a
+machine-checked invariant by cross-referencing the source tree's twin
+inventory against the test tree's identifier index.  Public ``*_columnar``
+definitions carry the same promise (``StreamingAnalyzer.consume_columnar``
+and ``run_columnar`` against their record-based ``consume``/``run``), so
+they fall under the same contract.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class ParityContractRule(ProjectRule):
                     message = f"fast-path twin `{name}` has no parity test"
                     hint = (
                         f"register a test asserting {name} bit-identical "
-                        f"to {base} (see tests/core/test_vectorized_parity.py)"
+                        f"to {base} (see tests/core/test_fused_parity.py)"
                     )
                 yield self.finding_at(
                     module.path, node.lineno, node.col_offset, message, hint

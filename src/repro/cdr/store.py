@@ -435,8 +435,8 @@ def read_cdr_batch(path: str | Path, *, mmap: bool = True) -> CDRBatch:
     This is the bridge to the record-based pipeline: records *are*
     materialized here (the pipeline consumes objects), but the header's
     sortedness flag lets an already-ordered trace skip the construction
-    sort, and the batch keeps its columnar view so the vectorized engine
-    never re-encodes.
+    sort, and the batch keeps its columnar view so the fused engine never
+    re-encodes.
     """
     col, header = read_cdrz(path, mmap=mmap)
     if not header.sorted:

@@ -151,13 +151,12 @@ def _add_analyze(
     p.add_argument(
         "--engine",
         default="fused",
-        choices=("fused", "vectorized", "reference"),
+        choices=("fused", "reference"),
         help="Section 4 implementation: fused (default, one pass over "
-        "shared intermediates), vectorized (per-analysis columnar twins) "
-        "or reference (record loops); all three are bit-identical. With "
-        "--workers != 1 the fused engine map-reduces cdrz shards and still "
-        "prints full statistics; other engines fall back to the streaming "
-        "summary",
+        "shared intermediates) or reference (record loops, the test "
+        "oracle); both are bit-identical. With --workers != 1 the fused "
+        "engine map-reduces cdrz shards and prints the full statistics; "
+        "the reference loops run in one process only",
     )
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
@@ -523,30 +522,23 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_stream(
-    trace: str,
-    days: int,
-    workers: int,
-    chunk_rows: int | None,
-    quantile_bin_s: float,
-) -> int:
-    """Shared engine behind ``stream`` and ``analyze --workers N``."""
+def cmd_stream(args: argparse.Namespace) -> int:
     import os
 
     from repro.cdr.errors import CDRValidationError
     from repro.cdr.store import DEFAULT_CHUNK_ROWS, shard_manifest
     from repro.core.mapreduce import analyze_shards
 
-    clock = StudyClock(n_days=days)
-    n_workers = workers if workers > 0 else (os.cpu_count() or 1)
+    clock = StudyClock(n_days=args.days)
+    n_workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     try:
-        manifest = shard_manifest(trace)
+        manifest = shard_manifest(args.trace)
         result, stats = analyze_shards(
-            trace,
+            args.trace,
             clock,
             workers=n_workers,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            quantile_bin_s=quantile_bin_s,
+            chunk_rows=args.chunk_rows or DEFAULT_CHUNK_ROWS,
+            quantile_bin_s=args.quantile_bin_s,
         )
     except CDRValidationError as exc:
         print(f"stream analysis needs a cdrz trace: {exc}", file=sys.stderr)
@@ -585,12 +577,6 @@ def _run_stream(
     )
     print(f"carrier time shares: {shares or 'n/a'}")
     return 0
-
-
-def cmd_stream(args: argparse.Namespace) -> int:
-    return _run_stream(
-        args.trace, args.days, args.workers, args.chunk_rows, args.quantile_bin_s
-    )
 
 
 def _run_analyze_fused_shards(args: argparse.Namespace) -> int:
@@ -678,11 +664,14 @@ def _run_analyze_fused_shards(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.workers != 1:
-        if args.engine == "fused":
-            return _run_analyze_fused_shards(args)
-        return _run_stream(
-            args.trace, args.days, args.workers, chunk_rows=None, quantile_bin_s=1.0
-        )
+        if args.engine == "reference":
+            print(
+                "analyze --engine reference runs in one process; "
+                "use --workers 1 or --engine fused",
+                file=sys.stderr,
+            )
+            return 2
+        return _run_analyze_fused_shards(args)
     config = scenario(args.scenario, n_cars=1, n_days=args.days)
     clock = StudyClock(n_days=args.days)
     topology = build_topology(config.topology)

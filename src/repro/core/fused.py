@@ -1,6 +1,6 @@
 """Fused single-pass analysis engine over shared columnar intermediates.
 
-The per-analysis columnar twins (``daily_presence_columnar`` …) each
+Run one at a time over columnar arrays, the Section 4 analyses would each
 re-derive the same expensive intermediates from the same arrays: sort
 permutations, ``np.unique`` vocabularies, packed day/car keys, bin
 fragments, and segmented session scans.  This module fuses them: one pass
@@ -37,8 +37,8 @@ unchanged.  To register a new analysis: derive its per-chunk arithmetic
 from :class:`ChunkIntermediates` (never from the raw chunk), keep every
 cross-chunk float in a carried chain, give its partial an
 ``absorb_partial`` that folds a *later* shard into ``self``, and wire it
-into :class:`FusedEngine`.  The record-based references and the columnar
-twins remain the bit-identity oracle (``tests/core/test_fused_parity.py``).
+into :class:`FusedEngine`.  The record-based references remain the
+bit-identity oracle (``tests/core/test_fused_parity.py``).
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ from repro.network.cells import Cell
 #: reaches this many chunk arrays, bounding finalize-time concatenation.
 _PAIR_COLLAPSE = 32
 
-#: Handover kind codes, in the classification precedence order the twins
-#: use (``classify_handover``): technology change wins, then base station,
+#: Handover kind codes, in the reference's classification precedence order
+#: (``classify_handover``): technology change wins, then base station,
 #: sector, carrier.
 _KIND_ORDER = (
     HandoverType.INTER_RAT,
@@ -763,8 +763,8 @@ class BusyPartial:
 class BusyKernel:
     """Figure 7: per-car seconds in busy vs all cells.
 
-    The twin's fragment machinery, indexed straight by car code into
-    vocabulary-sized tallies: each truncated record splits into one fragment
+    Fragment arithmetic indexed straight by car code into vocabulary-sized
+    tallies: each truncated record splits into one fragment
     per 15-minute bin it straddles (records on cells without a busy mask
     stay whole), fragment seconds accumulate with the unbuffered
     ``np.add.at`` in record-major bin-minor order — the reference's add
@@ -791,10 +791,12 @@ class BusyKernel:
             pos = np.searchsorted(dir_cells, cells)
             pos_c = np.minimum(pos, dir_cells.size - 1)
             known_cell = dir_cells[pos_c] == cells
+            lens = np.where(known_cell, dir_lens[pos_c], 0)
         else:
+            # An empty schedule: every cell is unknown, every record whole.
             known_cell = np.zeros(len(cells), dtype=np.bool_)
             pos_c = np.zeros(len(cells), dtype=np.intp)
-        lens = np.where(known_cell, dir_lens[pos_c], 0)
+            lens = np.zeros(len(cells), dtype=np.int64)
 
         start = inter.start
         duration = inter.trunc_duration
@@ -1126,9 +1128,8 @@ def _boundary_kind(
 ) -> int:
     """Kind code of one handover between two known, different cells.
 
-    Same precedence as ``classify_handover`` / the columnar twin's nested
-    ``np.where``: technology change wins, then base station, sector,
-    carrier — indices into :data:`_KIND_ORDER`.
+    Same precedence as ``classify_handover``: technology change wins, then
+    base station, sector, carrier — indices into :data:`_KIND_ORDER`.
     """
     if l_tech != f_tech:
         return 0

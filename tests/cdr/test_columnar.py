@@ -158,29 +158,11 @@ class TestGroupingHelpers:
     def test_group_rows_by_cell_empty(self):
         assert ColumnarCDRBatch.from_records([]).group_rows_by_cell() == {}
 
-    def test_car_spans_orders_cars_then_time(self):
+    def test_take_keeps_the_shared_vocabulary(self):
         col = ColumnarCDRBatch.from_records(sorted(sample_records()))
-        order, starts = col.car_spans()
-        codes = col.car_code[order]
-        # Car-major: codes are non-decreasing; starts index each car's run.
-        assert (np.diff(codes) >= 0).all()
-        assert starts[0] == 0
-        assert (np.diff(col.car_code[order][starts]) > 0).all()
-        # Within a car, rows stay chronological (stable sort).
-        for lo, hi in zip(starts, list(starts[1:]) + [len(col)]):
-            rows = order[lo:hi]
-            assert (np.diff(col.start[rows]) >= 0).all()
-
-    def test_car_spans_empty(self):
-        order, starts = ColumnarCDRBatch.from_records([]).car_spans()
-        assert order.size == 0 and starts.size == 0
-
-    def test_present_car_codes_after_take(self):
-        col = ColumnarCDRBatch.from_records(sorted(sample_records()))
-        # Keep only car-b's row: the shared vocabulary still lists all
-        # three cars, but only car-b's code is present.
+        # Keep only car-b's row: the subset still carries all three cars in
+        # its vocabulary, so codes stay comparable with the parent batch.
         keep = np.flatnonzero(col.car_code == col.car_ids.index("car-b"))
         sub = col.take(keep)
         assert sub.car_ids == col.car_ids
-        present = sub.present_car_codes()
-        assert [sub.car_ids[int(c)] for c in present] == ["car-b"]
+        assert [r.car_id for r in sub.to_records()] == ["car-b"]

@@ -1,16 +1,19 @@
-"""Bit-exact parity for the fused engine (PR 8).
+"""Bit-exact parity between the fused engine and the reference loops.
 
-The fused engine promises the same thing the columnar twins promised in
-PRs 3–6, one level up: a *single* pass over shared per-chunk intermediates
-must reproduce every record-based reference bit for bit — at any chunk
-size, across pickled cross-shard partials, and at any map-reduce worker
-count.  These tests hold that promise on the adversarial fixtures of the
-columnar parity suite, on random hypothesis batches with random chunk
-sizes, and end to end over sharded ``.cdrz`` stores.
+The fused engine promises *identical* outputs, not merely close ones: a
+single pass over shared per-chunk intermediates must reproduce every
+record-based reference bit for bit — at any chunk size, across pickled
+cross-shard partials, and at any map-reduce worker count.  These tests hold
+that promise on hand-built adversarial batches (overlapping records,
+bin/day boundary straddling, ghosts, unknown cells, empty carriers,
+single-record cars), on random hypothesis batches with random chunk sizes,
+for a whole :class:`AnalysisPipeline` report, and end to end over sharded
+``.cdrz`` stores.
 """
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.timebins import BIN_SECONDS, DAY
+from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
 from repro.cdr.records import CDRBatch, ConnectionRecord
 from repro.cdr.store import write_sharded_cdrz
 from repro.core.busy import BusySchedule, busy_exposure
@@ -37,11 +40,45 @@ from repro.core.fused import (
 )
 from repro.core.handover import handover_analysis
 from repro.core.mapreduce import analyze_shards, analyze_shards_fused
+from repro.core.pipeline import AnalysisPipeline
 from repro.core.preprocess import preprocess
 from repro.core.presence import daily_presence
 from repro.core.segmentation import days_on_network, segment_cars
 from repro.core.streaming import StreamingAnalyzer
-from tests.core.test_vectorized_parity import CELLS, CLOCK, rec, schedule_for
+from repro.network.cells import CARRIERS, Cell
+from repro.network.geometry import Point
+
+CLOCK = StudyClock(start_weekday=0, n_days=7)
+
+#: A small cell directory: two sectors on one base station plus a second
+#: site, mixing carriers so every handover type is reachable.
+CELLS = {
+    1: Cell(1, base_station_id=10, sector_index=0, carrier=CARRIERS["C3"],
+            location=Point(0.0, 0.0), azimuth_deg=0.0),
+    2: Cell(2, base_station_id=10, sector_index=0, carrier=CARRIERS["C4"],
+            location=Point(0.0, 0.0), azimuth_deg=0.0),
+    3: Cell(3, base_station_id=10, sector_index=1, carrier=CARRIERS["C3"],
+            location=Point(0.0, 0.0), azimuth_deg=120.0),
+    4: Cell(4, base_station_id=20, sector_index=0, carrier=CARRIERS["C1"],
+            location=Point(1.0, 1.0), azimuth_deg=0.0),
+}
+
+
+def rec(start, car="car-a", cell=1, carrier="C3", tech="4G", dur=60.0):
+    return ConnectionRecord(
+        start=float(start), car_id=car, cell_id=cell,
+        carrier=carrier, technology=tech, duration=float(dur),
+    )
+
+
+def schedule_for(cell_ids, n_bins=None, period=3):
+    """Deterministic busy masks: cell ``c`` is busy in bins where
+    ``(bin + c) % period == 0``.  Cells outside ``cell_ids`` stay unknown."""
+    n_bins = n_bins or CLOCK.n_days * DAY // BIN_SECONDS
+    bins = np.arange(n_bins)
+    return BusySchedule.from_series(
+        {c: np.where((bins + c) % period == 0, 0.9, 0.1) for c in cell_ids}
+    )
 
 
 def chunked(col, size):
@@ -178,6 +215,40 @@ class TestAdversarialBatches:
         ])
         assert_fused_matches_reference(batch, schedule_for([1, 2, 3]), CELLS)
 
+    def test_all_cells_unknown(self):
+        batch = CDRBatch([rec(100.0, cell=99), rec(300.0, cell=98, car="car-b")])
+        assert_fused_matches_reference(batch, schedule_for([]), CELLS)
+
+    def test_empty_carriers_report_zero(self):
+        batch = CDRBatch([
+            rec(100.0, carrier="C2", tech="3G"),
+            rec(400.0, carrier="C2", tech="3G"),
+        ])
+        pre = preprocess(batch)
+        usage = carrier_usage_fused(pre.full.columnar())
+        assert usage == carrier_usage(pre.full)
+        for c in ("C1", "C3", "C4", "C5"):
+            assert usage.cars_fraction[c] == 0.0
+            assert usage.time_fraction[c] == 0.0
+        assert_fused_matches_reference(batch, schedule_for([1]), CELLS)
+
+    def test_single_record_cars(self):
+        batch = CDRBatch([
+            rec(100.0, car=f"car-{i}", cell=1 + i % 4, dur=10.0 * i + 1.0)
+            for i in range(5)
+        ])
+        assert_fused_matches_reference(batch, schedule_for([1, 2, 3, 4]), CELLS)
+
+    def test_session_below_min_records_with_unknown_cells(self):
+        # A two-record session with one known cell is skipped by the
+        # min-records rule; a one-record session is kept (count 0).
+        batch = CDRBatch([
+            rec(100.0, cell=1, dur=50.0),
+            rec(200.0, cell=99, dur=50.0),
+            rec(5000.0, cell=2, carrier="C4", dur=50.0),
+        ])
+        assert_fused_matches_reference(batch, schedule_for([1, 2]), CELLS)
+
     def test_engine_rejects_vocabulary_change(self):
         a = CDRBatch([rec(100.0)]).columnar()
         b = CDRBatch([rec(200.0, car="car-z")]).columnar()
@@ -288,6 +359,43 @@ def test_pickled_partial_folds_match_single_engine(batch, n_splits):
     assert report.n_ghosts == expected.n_ghosts
 
 
+def test_pipeline_engines_produce_identical_reports(dataset):
+    pipeline = AnalysisPipeline(
+        dataset.clock,
+        load_model=dataset.load_model,
+        cells=dataset.topology.cells,
+    )
+    assert inspect.signature(pipeline.run).parameters["engine"].default == "fused"
+    ref = pipeline.run(dataset.batch, engine="reference")
+    fus = pipeline.run(dataset.batch)
+
+    assert np.array_equal(fus.presence.car_fraction, ref.presence.car_fraction)
+    assert np.array_equal(fus.presence.cell_fraction, ref.presence.cell_fraction)
+    assert fus.weekday_rows == ref.weekday_rows
+    assert fus.connect_time.car_ids == ref.connect_time.car_ids
+    assert np.array_equal(fus.connect_time.full_share, ref.connect_time.full_share)
+    assert np.array_equal(
+        fus.connect_time.truncated_share, ref.connect_time.truncated_share
+    )
+    assert fus.days == ref.days
+    assert fus.exposure.car_ids == ref.exposure.car_ids
+    assert np.array_equal(fus.exposure.busy_share, ref.exposure.busy_share)
+    assert np.array_equal(fus.exposure.nonbusy_share, ref.exposure.nonbusy_share)
+    assert fus.segmentation == ref.segmentation
+    assert fus.carriers == ref.carriers
+    assert fus.handovers is not None and ref.handovers is not None
+    assert np.array_equal(fus.handovers.per_session, ref.handovers.per_session)
+    assert fus.handovers.type_counts == ref.handovers.type_counts
+    assert fus.notes == ref.notes
+
+
+def test_pipeline_rejects_unknown_engine(dataset):
+    pipeline = AnalysisPipeline(dataset.clock, load_model=dataset.load_model)
+    for engine in ("vectorized", "turbo"):
+        with pytest.raises(ValueError, match="engine"):
+            pipeline.run(dataset.batch, engine=engine)
+
+
 class TestStreamingIntermediates:
     def test_consume_intermediates_matches_consume_columnar(self):
         batch = CDRBatch([
@@ -312,8 +420,6 @@ class TestStreamingIntermediates:
     def test_mismatched_clock_or_cutoff_is_rejected(self):
         col = CDRBatch([rec(100.0)]).columnar()
         analyzer = StreamingAnalyzer(CLOCK)
-        from repro.algorithms.timebins import StudyClock
-
         with pytest.raises(ValueError, match="different clock"):
             analyzer.consume_intermediates(
                 ChunkIntermediates(

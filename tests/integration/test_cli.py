@@ -223,9 +223,9 @@ class TestWorkflows:
         assert "connect time: mean share" in out
         assert "carrier time shares" in out
 
-    def test_analyze_workers_with_vectorized_engine_streams(
-        self, shard_dir, capsys
-    ):
+    def test_analyze_reference_engine_refuses_workers(self, shard_dir, capsys):
+        # The record-based reference loops run in one process only; asking
+        # for workers must fail loudly rather than print another report.
         code = main(
             [
                 "analyze",
@@ -236,13 +236,21 @@ class TestWorkflows:
                 "--workers",
                 "2",
                 "--engine",
-                "vectorized",
+                "reference",
             ]
         )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "map-reduce over" in out
-        assert "mean connected share" in out
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "analyze --engine reference runs in one process; "
+            "use --workers 1 or --engine fused"
+        ]
+
+    def test_analyze_rejects_the_retired_vectorized_engine(self, shard_dir):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--trace", str(shard_dir), "--engine", "vectorized"])
+        assert excinfo.value.code == 2
 
     def test_stream_rejects_text_traces(self, trace_path, capsys):
         code = main(["stream", "--trace", str(trace_path), "--days", "7"])
