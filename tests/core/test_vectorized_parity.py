@@ -1,106 +1,30 @@
-"""Bit-exact parity between the columnar engine and the reference loops.
+"""Bit-exact parity of the vectorized per-analysis entry points.
 
-The columnar fast paths promise *identical* outputs, not merely close ones:
-every accumulation order and rounding step was chosen to match the
-record-based reference exactly.  These tests hold that promise on
-hand-built adversarial batches (overlapping records, bin/day boundary
-straddling, unknown cells, empty carriers, single-record cars), on random
-hypothesis batches, and at the level of a whole pipeline run.
+The ``*_fused`` wrappers (``daily_presence_fused``, ``busy_exposure_fused``
+and the rest) are the columnar, one-call-per-analysis API that replaced the
+``*_columnar`` twins.  This module holds them, and the chunked
+:class:`~repro.core.fused.FusedEngine` behind them, to the record-based
+references on the adversarial batches those twins were checked against —
+boundary straddling without a ghost and unknown cells in a single session
+differ from the fused suite's variants — and on random hypothesis batches
+through every wrapper, which the fused suite's random tests (engine and
+partials only) do not call.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
-from repro.cdr.records import CDRBatch, ConnectionRecord
-from repro.core.busy import BusySchedule, busy_exposure, busy_exposure_columnar
-from repro.core.carriers import carrier_usage, carrier_usage_columnar
-from repro.core.connect_time import (
-    connect_time_analysis,
-    connect_time_analysis_columnar,
+from repro.algorithms.timebins import BIN_SECONDS, DAY
+from repro.cdr.records import CDRBatch
+from tests.core.test_fused_parity import (
+    CELLS,
+    CLOCK,
+    assert_fused_matches_reference,
+    batch_st,
+    rec,
+    schedule_for,
 )
-from repro.core.handover import handover_analysis, handover_analysis_columnar
-from repro.core.preprocess import preprocess
-from repro.core.presence import daily_presence, daily_presence_columnar
-from repro.core.segmentation import days_on_network, days_on_network_columnar
-from repro.network.cells import CARRIERS, Cell
-from repro.network.geometry import Point
-
-CLOCK = StudyClock(start_weekday=0, n_days=7)
-
-#: A small cell directory: two sectors on one base station plus a second
-#: site, mixing carriers so every handover type is reachable.
-CELLS = {
-    1: Cell(1, base_station_id=10, sector_index=0, carrier=CARRIERS["C3"],
-            location=Point(0.0, 0.0), azimuth_deg=0.0),
-    2: Cell(2, base_station_id=10, sector_index=0, carrier=CARRIERS["C4"],
-            location=Point(0.0, 0.0), azimuth_deg=0.0),
-    3: Cell(3, base_station_id=10, sector_index=1, carrier=CARRIERS["C3"],
-            location=Point(0.0, 0.0), azimuth_deg=120.0),
-    4: Cell(4, base_station_id=20, sector_index=0, carrier=CARRIERS["C1"],
-            location=Point(1.0, 1.0), azimuth_deg=0.0),
-}
-
-
-def rec(start, car="car-a", cell=1, carrier="C3", tech="4G", dur=60.0):
-    return ConnectionRecord(
-        start=float(start), car_id=car, cell_id=cell,
-        carrier=carrier, technology=tech, duration=float(dur),
-    )
-
-
-def schedule_for(cell_ids, n_bins=None, period=3):
-    """Deterministic busy masks: cell ``c`` is busy in bins where
-    ``(bin + c) % period == 0``.  Cells outside ``cell_ids`` stay unknown."""
-    n_bins = n_bins or CLOCK.n_days * DAY // BIN_SECONDS
-    bins = np.arange(n_bins)
-    return BusySchedule.from_series(
-        {c: np.where((bins + c) % period == 0, 0.9, 0.1) for c in cell_ids}
-    )
-
-
-def assert_engines_agree(batch, schedule=None, cells=None):
-    """Run every Section 4 analysis through both engines; require equality."""
-    pre = preprocess(batch)
-    if len(pre.full) == 0:
-        return
-    full_col = pre.full.columnar()
-    trunc_col = pre.truncated.columnar()
-
-    ref = daily_presence(pre.full, CLOCK)
-    vec = daily_presence_columnar(full_col, CLOCK)
-    assert vec.n_cars_total == ref.n_cars_total
-    assert vec.n_cells_total == ref.n_cells_total
-    assert np.array_equal(vec.car_fraction, ref.car_fraction)
-    assert np.array_equal(vec.cell_fraction, ref.cell_fraction)
-
-    assert days_on_network_columnar(full_col, CLOCK) == days_on_network(
-        pre.full, CLOCK
-    )
-
-    assert carrier_usage_columnar(full_col) == carrier_usage(pre.full)
-
-    if schedule is not None:
-        ref_b = busy_exposure(pre.truncated, schedule)
-        vec_b = busy_exposure_columnar(trunc_col, schedule)
-        assert vec_b.car_ids == ref_b.car_ids
-        assert np.array_equal(vec_b.busy_share, ref_b.busy_share)
-        assert np.array_equal(vec_b.nonbusy_share, ref_b.nonbusy_share)
-
-    ref_c = connect_time_analysis(pre, CLOCK)
-    vec_c = connect_time_analysis_columnar(pre, CLOCK)
-    assert vec_c.car_ids == ref_c.car_ids
-    assert np.array_equal(vec_c.full_share, ref_c.full_share)
-    assert np.array_equal(vec_c.truncated_share, ref_c.truncated_share)
-
-    if cells is not None:
-        ref_h = handover_analysis(pre, cells)
-        vec_h = handover_analysis_columnar(pre, cells)
-        assert np.array_equal(vec_h.per_session, ref_h.per_session)
-        assert vec_h.type_counts == ref_h.type_counts
 
 
 class TestAdversarialBatches:
@@ -112,7 +36,7 @@ class TestAdversarialBatches:
             rec(1100.0, dur=50.0, cell=3),
             rec(1400.0, dur=300.0, cell=4, carrier="C1"),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
+        assert_fused_matches_reference(batch, schedule_for([1, 2, 3, 4]), CELLS)
 
     def test_bin_and_day_boundary_straddling(self):
         batch = CDRBatch([
@@ -125,14 +49,14 @@ class TestAdversarialBatches:
             # Whole-day record (ghost rule removes exactly 3600 s, not this).
             rec(3 * DAY + 1.0, car="car-b", cell=4, carrier="C1", dur=3599.0),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
+        assert_fused_matches_reference(batch, schedule_for([1, 2, 3, 4]), CELLS)
 
     def test_records_outside_study_window(self):
         batch = CDRBatch([
             rec(100.0),
             rec(CLOCK.n_days * DAY + 5.0, car="car-b", cell=2, carrier="C4"),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2]), CELLS)
+        assert_fused_matches_reference(batch, schedule_for([1, 2]), CELLS)
 
     def test_unknown_cells_skip_busy_masks_and_handovers(self):
         # Cells 77/88 have no busy series and are missing from the
@@ -144,50 +68,7 @@ class TestAdversarialBatches:
             rec(1250.0, cell=88, dur=40.0),
             rec(1300.0, cell=2, carrier="C4", dur=100.0),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2]), CELLS)
-
-    def test_all_cells_unknown(self):
-        batch = CDRBatch([rec(100.0, cell=99), rec(300.0, cell=98, car="car-b")])
-        assert_engines_agree(batch, schedule_for([]), CELLS)
-
-    def test_empty_carriers_report_zero(self):
-        batch = CDRBatch([rec(100.0, carrier="C2", tech="3G"), rec(400.0, carrier="C2", tech="3G")])
-        usage_ref = carrier_usage(preprocess(batch).full)
-        usage_vec = carrier_usage_columnar(preprocess(batch).full.columnar())
-        assert usage_vec == usage_ref
-        for c in ("C1", "C3", "C4", "C5"):
-            assert usage_vec.cars_fraction[c] == 0.0
-            assert usage_vec.time_fraction[c] == 0.0
-        assert_engines_agree(batch, schedule_for([1]), CELLS)
-
-    def test_single_record_cars(self):
-        batch = CDRBatch([
-            rec(100.0, car=f"car-{i}", cell=1 + i % 4, dur=10.0 * i + 1.0)
-            for i in range(5)
-        ])
-        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
-
-    def test_session_below_min_records_with_unknown_cells(self):
-        # A two-record session with one known cell is skipped by the
-        # min-records rule; a one-record session is kept (count 0).
-        batch = CDRBatch([
-            rec(100.0, cell=1, dur=50.0),
-            rec(200.0, cell=99, dur=50.0),
-            rec(5000.0, cell=2, carrier="C4", dur=50.0),
-        ])
-        assert_engines_agree(batch, schedule_for([1, 2]), CELLS)
-
-
-record_st = st.builds(
-    ConnectionRecord,
-    start=st.floats(min_value=0, max_value=7 * DAY + 500, allow_nan=False),
-    car_id=st.sampled_from([f"car-{i}" for i in range(5)]),
-    cell_id=st.integers(min_value=1, max_value=6),
-    carrier=st.sampled_from(["C1", "C2", "C3", "C4", "C5"]),
-    technology=st.sampled_from(["3G", "4G"]),
-    duration=st.floats(min_value=0, max_value=2 * DAY, allow_nan=False),
-)
-batch_st = st.lists(record_st, min_size=1, max_size=50).map(CDRBatch)
+        assert_fused_matches_reference(batch, schedule_for([1, 2]), CELLS)
 
 
 @given(batch_st)
@@ -195,43 +76,4 @@ batch_st = st.lists(record_st, min_size=1, max_size=50).map(CDRBatch)
 def test_engines_agree_on_random_batches(batch):
     # Cells 5 and 6 are deliberately absent from both the busy schedule and
     # the directory, so random batches also exercise the unknown-cell paths.
-    assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
-
-
-def test_pipeline_engines_produce_identical_reports(dataset):
-    from repro.core.pipeline import AnalysisPipeline
-
-    pipeline = AnalysisPipeline(
-        dataset.clock,
-        load_model=dataset.load_model,
-        cells=dataset.topology.cells,
-    )
-    ref = pipeline.run(dataset.batch, engine="reference")
-    vec = pipeline.run(dataset.batch, engine="vectorized")
-
-    assert np.array_equal(vec.presence.car_fraction, ref.presence.car_fraction)
-    assert np.array_equal(vec.presence.cell_fraction, ref.presence.cell_fraction)
-    assert vec.weekday_rows == ref.weekday_rows
-    assert vec.connect_time.car_ids == ref.connect_time.car_ids
-    assert np.array_equal(vec.connect_time.full_share, ref.connect_time.full_share)
-    assert np.array_equal(
-        vec.connect_time.truncated_share, ref.connect_time.truncated_share
-    )
-    assert vec.days == ref.days
-    assert vec.exposure.car_ids == ref.exposure.car_ids
-    assert np.array_equal(vec.exposure.busy_share, ref.exposure.busy_share)
-    assert vec.segmentation == ref.segmentation
-    assert vec.carriers == ref.carriers
-    assert vec.handovers is not None and ref.handovers is not None
-    assert np.array_equal(vec.handovers.per_session, ref.handovers.per_session)
-    assert vec.handovers.type_counts == ref.handovers.type_counts
-
-
-def test_pipeline_rejects_unknown_engine(dataset):
-    import pytest
-
-    from repro.core.pipeline import AnalysisPipeline
-
-    pipeline = AnalysisPipeline(dataset.clock, load_model=dataset.load_model)
-    with pytest.raises(ValueError, match="engine"):
-        pipeline.run(dataset.batch, engine="turbo")
+    assert_fused_matches_reference(batch, schedule_for([1, 2, 3, 4]), CELLS)
