@@ -9,7 +9,7 @@ anonymization of car identifiers.
 """
 
 from repro.cdr.anonymize import Anonymizer
-from repro.cdr.columnar import ColumnarCDRBatch
+from repro.cdr.columnar import ColumnarCDRBatch, is_record_sorted
 from repro.cdr.errors import CDRValidationError, ReproError
 from repro.cdr.io import (
     load_trace,
@@ -38,7 +38,6 @@ from repro.cdr.store import (
     CdrzInfo,
     CdrzMemberInfo,
     inspect_cdrz,
-    is_record_sorted,
     iter_cdrz_chunks,
     read_batch_cdrz,
     read_cdr_batch,

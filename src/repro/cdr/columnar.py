@@ -216,19 +216,14 @@ class ColumnarCDRBatch:
         ]
 
     def to_batch(self) -> CDRBatch:
-        """Convert to a :class:`CDRBatch`, sorting only when necessary.
+        """Convert to a lazy :class:`CDRBatch`, sorting only when necessary.
 
-        The resulting batch carries this columnar view (re-ordered the same
-        way) so grouping helpers stay vectorized.
+        The batch holds this columnar view (re-ordered into record order
+        when the rows are not already in it) and builds no records until
+        one is asked for; see :meth:`CDRBatch.lazy`.
         """
-        order = self.sort_order()
-        if np.array_equal(order, np.arange(len(order))):
-            col = self
-        else:
-            col = self.take(order)
-        batch = CDRBatch(col.to_records(), assume_sorted=True)
-        batch._columnar = col
-        return batch
+        col = self if is_record_sorted(self) else self.sorted()
+        return CDRBatch.lazy(col)
 
     # -- vectorized operations -----------------------------------------
 
@@ -365,6 +360,38 @@ class ColumnarCDRBatch:
             )
         )
         return total
+
+
+def is_record_sorted(batch: ColumnarCDRBatch) -> bool:
+    """Whether rows are already in exact record order, checked vectorized.
+
+    One adjacent-row lexicographic comparison over the six sort keys —
+    O(n) with no Python loop over rows, so writers can auto-detect the
+    sortedness flag instead of trusting the caller, and
+    :meth:`ColumnarCDRBatch.to_batch` skips the O(n log n) sort of rows
+    already in order.  Codes compare like their strings because the
+    vocabularies are sorted.
+    """
+    n = len(batch)
+    if n <= 1:
+        return True
+    keys: tuple[npt.NDArray[Any], ...] = (
+        batch.start,
+        batch.car_code,
+        batch.cell_id,
+        batch.carrier_code,
+        batch.tech_code,
+        batch.duration,
+    )
+    still_tied = np.ones(n - 1, dtype=bool)
+    for key in keys:
+        head, tail = key[:-1], key[1:]
+        if bool(np.any(still_tied & (head > tail))):
+            return False
+        still_tied &= head == tail
+        if not still_tied.any():
+            return True
+    return True
 
 
 def _encode(values: list[str]) -> tuple[list[str], npt.NDArray[Any]]:

@@ -355,13 +355,15 @@ def read_columnar_auto(path: str | Path) -> ColumnarCDRBatch:
 
 
 def load_trace(path: str | Path) -> CDRBatch:
-    """Load any supported trace into a record-level :class:`CDRBatch`.
+    """Load any supported trace into a lazy :class:`CDRBatch`.
 
     The CLI entry point for analysis commands: ``.cdrz`` files (or shard
     directories) load through the binary store — single files honoring
     their sortedness flag — and text formats through the columnar block
-    parsers; either way ingest is vectorized and the batch arrives with
-    its columnar view attached for the array engine.
+    parsers.  Either way ingest is vectorized and the batch holds only its
+    columnar view: :class:`~repro.cdr.records.ConnectionRecord` objects
+    are built on the first record access, which the fused engine never
+    makes.
     """
     if not Path(path).is_dir() and trace_format(path) == "cdrz":
         from repro.cdr.store import read_cdr_batch

@@ -126,6 +126,13 @@ class CDRBatch:
     of an already-sorted batch without reordering them — and makes batch
     construction O(n).  Passing unsorted records with ``assume_sorted=True``
     is a contract violation; grouping helpers would silently misbehave.
+
+    A batch made by :meth:`lazy` holds only its columnar view and builds
+    its record list on first record access (``records``, iteration,
+    indexing, ``by_car``/``by_cell``, ``filtered`` or ``validate``).
+    ``len()`` and :meth:`columnar` never build records, so array-only
+    consumers such as the fused engine run without a single
+    :class:`ConnectionRecord`.
     """
 
     def __init__(
@@ -134,26 +141,50 @@ class CDRBatch:
         *,
         assume_sorted: bool = False,
     ) -> None:
+        self._records: list[ConnectionRecord] | None
         if assume_sorted:
-            self._records: list[ConnectionRecord] = list(records)
+            self._records = list(records)
         else:
             self._records = sorted(records, key=_RECORD_SORT_KEY)
         self._by_car: dict[str, list[ConnectionRecord]] | None = None
         self._by_cell: dict[int, list[ConnectionRecord]] | None = None
         self._columnar: ColumnarCDRBatch | None = None
 
+    @classmethod
+    def lazy(cls, col: ColumnarCDRBatch) -> "CDRBatch":
+        """Lazy batch over a columnar view already in record order.
+
+        ``col``'s rows must already be sorted as the batch would sort them
+        (``col.sort_order()`` is the identity);
+        :meth:`ColumnarCDRBatch.to_batch` checks and sorts first.  The
+        records are built from ``col.to_records()`` on first access.
+        """
+        batch = cls((), assume_sorted=True)
+        batch._records = None
+        batch._columnar = col
+        return batch
+
     def __len__(self) -> int:
-        return len(self._records)
+        if self._records is not None:
+            return len(self._records)
+        return len(self.columnar())
 
     def __iter__(self) -> Iterator[ConnectionRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def __getitem__(self, idx: int) -> ConnectionRecord:
-        return self._records[idx]
+        return self.records[idx]
 
     @property
     def records(self) -> list[ConnectionRecord]:
-        """The sorted record list (not a copy; treat as read-only)."""
+        """The sorted record list (not a copy; treat as read-only).
+
+        A lazy batch builds the list here, once.
+        """
+        if self._records is None:
+            if self._columnar is None:
+                raise ValueError("CDRBatch holds neither records nor a view")
+            self._records = self._columnar.to_records()
         return self._records
 
     def columnar(self) -> ColumnarCDRBatch:
@@ -165,24 +196,24 @@ class CDRBatch:
         if self._columnar is None:
             from repro.cdr.columnar import ColumnarCDRBatch
 
-            self._columnar = ColumnarCDRBatch.from_records(self._records)
+            self._columnar = ColumnarCDRBatch.from_records(self.records)
         return self._columnar
 
     def by_car(self) -> dict[str, list[ConnectionRecord]]:
         """Records grouped per car, each group chronological."""
         if self._by_car is None:
+            recs = self.records
             if self._columnar is not None:
                 # One stable argsort over the car codes replaces a python
                 # dict append per record; chronological order within each
                 # group survives because the batch rows are time-sorted.
-                recs = self._records
                 self._by_car = {
                     car: [recs[i] for i in idx]
                     for car, idx in self._columnar.group_rows_by_car().items()
                 }
             else:
                 groups: dict[str, list[ConnectionRecord]] = defaultdict(list)
-                for rec in self._records:
+                for rec in recs:
                     groups[rec.car_id].append(rec)
                 self._by_car = dict(groups)
         return self._by_car
@@ -190,17 +221,17 @@ class CDRBatch:
     def by_cell(self) -> dict[int, list[ConnectionRecord]]:
         """Records grouped per cell, each group chronological."""
         if self._by_cell is None:
+            recs = self.records
             if self._columnar is not None:
                 # Same vectorized grouping as by_car(): one stable argsort
                 # over the cell ids instead of a dict append per record.
-                recs = self._records
                 self._by_cell = {
                     cell: [recs[i] for i in idx]
                     for cell, idx in self._columnar.group_rows_by_cell().items()
                 }
             else:
                 groups: dict[int, list[ConnectionRecord]] = defaultdict(list)
-                for rec in self._records:
+                for rec in recs:
                     groups[rec.cell_id].append(rec)
                 self._by_cell = dict(groups)
         return self._by_cell
@@ -218,7 +249,7 @@ class CDRBatch:
         # Filtering a sorted list preserves its order, so the copy need not
         # re-sort.
         return CDRBatch(
-            [rec for rec in self._records if predicate(rec)], assume_sorted=True
+            [rec for rec in self.records if predicate(rec)], assume_sorted=True
         )
 
     def validate(self, study_duration: float | None = None) -> None:
@@ -229,7 +260,7 @@ class CDRBatch:
         study window.
         """
         if study_duration is not None:
-            for rec in self._records:
+            for rec in self.records:
                 if not 0 <= rec.start < study_duration:
                     raise CDRValidationError(
                         f"record at t={rec.start} outside study of "

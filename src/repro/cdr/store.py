@@ -39,7 +39,7 @@ from typing import Any, BinaryIO
 import numpy as np
 import numpy.typing as npt
 
-from repro.cdr.columnar import ColumnarCDRBatch
+from repro.cdr.columnar import ColumnarCDRBatch, is_record_sorted
 from repro.cdr.errors import CDRValidationError
 from repro.cdr.records import CDRBatch
 
@@ -154,36 +154,6 @@ class CdrzInfo:
     n_cars: int
     n_carriers: int
     n_technologies: int
-
-
-def is_record_sorted(batch: ColumnarCDRBatch) -> bool:
-    """Whether rows are already in exact record order, checked vectorized.
-
-    One adjacent-row lexicographic comparison over the six sort keys —
-    O(n) with no Python loop over rows, so writers can auto-detect the
-    sortedness flag instead of trusting the caller.  Codes compare like
-    their strings because the vocabularies are sorted.
-    """
-    n = len(batch)
-    if n <= 1:
-        return True
-    keys: tuple[npt.NDArray[Any], ...] = (
-        batch.start,
-        batch.car_code,
-        batch.cell_id,
-        batch.carrier_code,
-        batch.tech_code,
-        batch.duration,
-    )
-    still_tied = np.ones(n - 1, dtype=bool)
-    for key in keys:
-        head, tail = key[:-1], key[1:]
-        if bool(np.any(still_tied & (head > tail))):
-            return False
-        still_tied &= head == tail
-        if not still_tied.any():
-            return True
-    return True
 
 
 def _write_member(zf: zipfile.ZipFile, name: str, array: npt.NDArray[Any]) -> None:
@@ -430,20 +400,18 @@ def read_batch_cdrz(path: str | Path, *, mmap: bool = True) -> ColumnarCDRBatch:
 
 
 def read_cdr_batch(path: str | Path, *, mmap: bool = True) -> CDRBatch:
-    """Load a ``.cdrz`` trace as a record-level :class:`CDRBatch`.
+    """Load a ``.cdrz`` trace as a lazy :class:`CDRBatch`.
 
-    This is the bridge to the record-based pipeline: records *are*
-    materialized here (the pipeline consumes objects), but the header's
-    sortedness flag lets an already-ordered trace skip the construction
-    sort, and the batch keeps its columnar view so the fused engine never
-    re-encodes.
+    The batch wraps the columnar view and builds no record objects until
+    a record-based analysis asks for them
+    (:meth:`CDRBatch.lazy`); the fused engine reads the view and
+    never does.  The header's sortedness flag lets an already-ordered
+    trace skip the sort check.
     """
     col, header = read_cdrz(path, mmap=mmap)
     if not header.sorted:
         return col.to_batch()
-    batch = CDRBatch(col.to_records(), assume_sorted=True)
-    batch._columnar = col
-    return batch
+    return CDRBatch.lazy(col)
 
 
 @dataclass(frozen=True)

@@ -91,13 +91,25 @@ class BusySchedule:
         )
 
     def busy_mask(self, cell_id: int) -> npt.NDArray[np.bool_] | None:
-        """Boolean per-bin busy mask for a cell, or ``None`` when unknown."""
+        """Boolean per-bin busy mask for a cell, or ``None`` when unknown.
+
+        Once :meth:`mask_table` has cached its grid, a model-backed
+        schedule answers with the cell's row of the grid (a read-only view,
+        sliced to the mask's length) instead of synthesizing the cell's
+        series on its own; both are bit-identical.
+        """
         mask = self._masks.get(cell_id)
         if mask is None:
             model = self._model
             if model is None or cell_id not in model.topology.cells:
                 return None
-            mask = model.busy_bins(cell_id, self.threshold)
+            if self._table is not None:
+                cells, lens, grid = self._table
+                row = int(np.searchsorted(cells, cell_id))
+                mask = grid[row, : lens[row]]
+                mask.flags.writeable = False  # the grid feeds the fused kernels
+            else:
+                mask = model.busy_bins(cell_id, self.threshold)
             self._masks[cell_id] = mask
         return mask
 

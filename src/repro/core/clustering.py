@@ -17,8 +17,9 @@ import numpy.typing as npt
 
 from repro.algorithms.kmeans import KMeans, KMeansResult, silhouette_score
 from repro.algorithms.timebins import StudyClock
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
-from repro.core.concurrency import weekly_concurrency
+from repro.core.concurrency import weekly_concurrency, weekly_concurrency_fused
 from repro.network.load import CellLoadModel
 
 #: The paper's selection threshold: mean weekly U_PRB of at least 70%.
@@ -99,7 +100,7 @@ def select_busy_cells(
 
 
 def cluster_busy_cells(
-    batch: CDRBatch,
+    batch: CDRBatch | ColumnarCDRBatch,
     model: CellLoadModel,
     clock: StudyClock,
     k: int = 2,
@@ -112,6 +113,13 @@ def cluster_busy_cells(
     aggregated sessions, and k-means-clusters the vectors.  Cells with no
     recorded car connections contribute all-zero vectors, exactly as they
     would in the paper's data.
+
+    A :class:`~repro.cdr.columnar.ColumnarCDRBatch` (the fused pipeline
+    passes ``pre.columnar_truncated()``) builds every vector in one array
+    pass (:func:`~repro.core.concurrency.weekly_concurrency_fused`); a
+    :class:`~repro.cdr.records.CDRBatch` runs the record-based
+    :func:`~repro.core.concurrency.weekly_concurrency` per cell, the
+    reference the array pass is held bit-identical to.
     """
     cell_ids = select_busy_cells(model, mean_threshold)
     if len(cell_ids) < k:
@@ -119,10 +127,13 @@ def cluster_busy_cells(
             f"only {len(cell_ids)} busy cells at threshold {mean_threshold}; "
             f"cannot form {k} clusters"
         )
-    by_cell = batch.by_cell()
-    vectors = np.stack(
-        [weekly_concurrency(by_cell.get(cid, []), clock) for cid in cell_ids]
-    )
+    if isinstance(batch, ColumnarCDRBatch):
+        vectors = weekly_concurrency_fused(batch, cell_ids, clock)
+    else:
+        by_cell = batch.by_cell()
+        vectors = np.stack(
+            [weekly_concurrency(by_cell.get(cid, []), clock) for cid in cell_ids]
+        )
     result = KMeans(k, seed=seed).fit(vectors)
     levels: list[float] = [
         float(vectors[result.labels == label].mean())

@@ -129,10 +129,9 @@ class AnalysisPipeline:
             )
         fused = engine == "fused"
         notes: list[str] = []
-        # The fused path defers record materialization: its engine runs on
-        # the columnar views alone, so building ConnectionRecord objects
-        # would be pure overhead unless clustering or loss-day detection
-        # asks for them later.
+        # The fused path defers record materialization: its engine and the
+        # Figure 11 vectors run on the columnar views alone, so a lazily
+        # loaded batch stays record-free unless loss-day detection asks.
         if fused:
             pre = preprocess_lazy(batch, self.preprocess_config)
         else:
@@ -190,7 +189,10 @@ class AnalysisPipeline:
         if with_clustering:
             try:
                 clusters = cluster_busy_cells(
-                    pre.truncated, self.load_model, self.clock, k=cluster_k
+                    pre.columnar_truncated() if fused else pre.truncated,
+                    self.load_model,
+                    self.clock,
+                    k=cluster_k,
                 )
             except ValueError as exc:
                 notes.append(f"clustering skipped: {exc}")

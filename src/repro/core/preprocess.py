@@ -53,13 +53,13 @@ class PreprocessResult:
     ``full`` holds the records with ghost one-hour rows removed, durations
     as reported; ``truncated`` holds the same records with durations capped
     at ``config.truncate_s``; ``n_dropped_ghosts`` counts the removed rows.
+    Both batches carry their columnar views (:meth:`columnar_full` /
+    :meth:`columnar_truncated`).
 
-    Both record views can be *lazy*: when built by :func:`preprocess_lazy`
-    the columnar views (:meth:`columnar_full` / :meth:`columnar_truncated`)
-    are available immediately while the :class:`~repro.cdr.records.CDRBatch`
-    record lists materialize only on first access — the fused analysis
-    engine never touches them, which is where roughly half of the eager
-    pipeline's wall time went.
+    When built by :func:`preprocess_lazy` both batches are *lazy*
+    (:meth:`~repro.cdr.records.CDRBatch.lazy`): they hold only their
+    columnar views and build record objects on the first record access.  The fused analysis engine and the Figure 11 vectors read the
+    views alone, so a fused pipeline run builds no records at all.
     """
 
     def __init__(
@@ -67,80 +67,28 @@ class PreprocessResult:
         config: PreprocessConfig,
         n_dropped_ghosts: int,
         *,
-        full: CDRBatch | None = None,
-        truncated: CDRBatch | None = None,
-        kept_col: ColumnarCDRBatch | None = None,
-        source_records: list[ConnectionRecord] | None = None,
-        keep_idx: npt.NDArray[np.intp] | None = None,
+        full: CDRBatch,
+        truncated: CDRBatch,
     ) -> None:
-        if full is None and (kept_col is None or source_records is None):
-            raise ValueError(
-                "lazy PreprocessResult needs kept_col and source_records"
-            )
         self.config = config
         self.n_dropped_ghosts = n_dropped_ghosts
-        self._full = full
-        self._truncated = truncated
-        self._kept_col = kept_col
-        self._trunc_col: ColumnarCDRBatch | None = None
-        self._source_records = source_records
-        self._keep_idx = keep_idx
+        self.full = full
+        self.truncated = truncated
         self._sessions: dict[str, list[Interval]] = {}
         self._network_sessions: dict[str, list[list[ConnectionRecord]]] = {}
 
     @property
     def n_kept(self) -> int:
         """Number of records surviving the ghost drop (no materialization)."""
-        if self._kept_col is not None:
-            return len(self._kept_col)
         return len(self.full)
 
     def columnar_full(self) -> ColumnarCDRBatch:
         """Columnar view of ``full`` without materializing record objects."""
-        if self._kept_col is None:
-            self._kept_col = self.full.columnar()
-        return self._kept_col
+        return self.full.columnar()
 
     def columnar_truncated(self) -> ColumnarCDRBatch:
         """Columnar view of ``truncated``; no record objects are built."""
-        if self._trunc_col is None:
-            self._trunc_col = self.columnar_full().truncated(
-                self.config.truncate_s
-            )
-        return self._trunc_col
-
-    @property
-    def full(self) -> CDRBatch:
-        """Ghost-free records, durations as reported (built on demand)."""
-        if self._full is None:
-            records = self._source_records
-            if records is None:
-                raise ValueError(
-                    "PreprocessResult holds neither records nor a source"
-                )
-            if self._keep_idx is None:
-                kept = records
-            else:
-                kept = [records[i] for i in self._keep_idx.tolist()]
-            batch = CDRBatch(kept, assume_sorted=True)
-            batch._columnar = self._kept_col
-            self._full = batch
-        return self._full
-
-    @property
-    def truncated(self) -> CDRBatch:
-        """Ghost-free records capped at ``truncate_s`` (built on demand)."""
-        if self._truncated is None:
-            kept = self.full.records
-            cap = self.config.truncate_s
-            over_idx = np.flatnonzero(self.columnar_full().duration > cap)
-            records = list(kept)
-            for i in over_idx.tolist():
-                records[i] = kept[i].truncated(cap)
-            batch = CDRBatch(records, assume_sorted=True)
-            batch._columnar = self.columnar_truncated()
-            self._truncated = batch
-        return self._truncated
+        return self.truncated.columnar()
 
     def aggregate_sessions(self, car_id: str) -> list[Interval]:
         """A car's aggregate sessions: truncated records joined over <=30 s gaps."""
@@ -190,16 +138,8 @@ def preprocess(
     """
     cfg = config or PreprocessConfig()
     records = batch.records
-    col = batch.columnar()
-    ghost_mask = np.abs(col.duration - GHOST_DURATION_S) <= GHOST_TOLERANCE_S
-    n_ghosts = int(np.count_nonzero(ghost_mask))
-    if n_ghosts:
-        keep_idx = np.flatnonzero(~ghost_mask)
-        kept = [records[i] for i in keep_idx.tolist()]
-        kept_col = col.take(keep_idx)
-    else:
-        kept = records
-        kept_col = col
+    kept_col, keep_idx = _drop_ghosts(batch.columnar())
+    kept = records if keep_idx is None else [records[i] for i in keep_idx.tolist()]
 
     # Only the over-cap records need a fresh object; the rest are shared
     # with ``full``.  Capping durations cannot break the sort order because
@@ -212,17 +152,10 @@ def preprocess(
     full = CDRBatch(kept, assume_sorted=True)
     full._columnar = kept_col
     truncated_batch = CDRBatch(truncated, assume_sorted=True)
-    trunc_col = kept_col.truncated(cfg.truncate_s)
-    truncated_batch._columnar = trunc_col
-    result = PreprocessResult(
-        cfg,
-        n_ghosts,
-        full=full,
-        truncated=truncated_batch,
-        kept_col=kept_col,
+    truncated_batch._columnar = kept_col.truncated(cfg.truncate_s)
+    return PreprocessResult(
+        cfg, len(records) - len(kept), full=full, truncated=truncated_batch
     )
-    result._trunc_col = trunc_col
-    return result
 
 
 def preprocess_lazy(
@@ -231,28 +164,34 @@ def preprocess_lazy(
     """Section 3 cleaning with deferred record materialization.
 
     Same rules and results as :func:`preprocess`, but only the columnar
-    views are built up front; the ``full`` / ``truncated`` record lists are
-    constructed on first attribute access.  The fused engine
-    (:mod:`repro.core.fused`) consumes the columnar views exclusively, so a
-    fused pipeline run never pays the per-record ``truncated()`` copies.
+    views are built: ``full`` is the source batch itself when no ghost was
+    dropped, and otherwise, like ``truncated``, a lazy batch over its view
+    (:meth:`~repro.cdr.records.CDRBatch.lazy`).  The source's records are
+    never touched, so a lazily loaded trace stays record-free until some
+    record-based analysis asks for records.
     """
     cfg = config or PreprocessConfig()
-    col = batch.columnar()
-    ghost_mask = np.abs(col.duration - GHOST_DURATION_S) <= GHOST_TOLERANCE_S
-    n_ghosts = int(np.count_nonzero(ghost_mask))
-    if n_ghosts:
-        keep_idx = np.flatnonzero(~ghost_mask)
-        kept_col = col.take(keep_idx)
-    else:
-        kept_col = col
-        keep_idx = None
+    kept_col, keep_idx = _drop_ghosts(batch.columnar())
+    full = batch if keep_idx is None else CDRBatch.lazy(kept_col)
+    truncated = CDRBatch.lazy(kept_col.truncated(cfg.truncate_s))
     return PreprocessResult(
-        cfg,
-        n_ghosts,
-        kept_col=kept_col,
-        source_records=batch.records,
-        keep_idx=keep_idx,
+        cfg, len(batch) - len(kept_col), full=full, truncated=truncated
     )
+
+
+def _drop_ghosts(
+    col: ColumnarCDRBatch,
+) -> tuple[ColumnarCDRBatch, npt.NDArray[np.intp] | None]:
+    """Rule 1: ``col`` without ghost rows, plus the kept row indices.
+
+    The indices are ``None`` when no row is a ghost and ``col`` is
+    returned as is.
+    """
+    ghost_mask = np.abs(col.duration - GHOST_DURATION_S) <= GHOST_TOLERANCE_S
+    if not ghost_mask.any():
+        return col, None
+    keep_idx = np.flatnonzero(~ghost_mask)
+    return col.take(keep_idx), keep_idx
 
 
 def sessions_for(

@@ -44,6 +44,9 @@ class CampaignSimulator:
     ) -> None:
         self.batch = batch
         self.schedule = schedule
+        # One batched build of every cell's mask; busy_mask then reads rows
+        # of the cached grid instead of synthesizing each cell's series.
+        schedule.mask_table()
         self.days_on_network = days_on_network
         self.seed = seed
 

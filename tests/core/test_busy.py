@@ -48,6 +48,47 @@ class TestBusySchedule:
         cid = load_model.busy_cell_ids(0.7)[0]
         assert sched.busy_mask(cid).any()
 
+    def test_mask_after_the_grid_is_its_row_bit_for_bit(self, load_model):
+        per_cell = BusySchedule.from_load_model(load_model)
+        gridded = BusySchedule.from_load_model(load_model)
+        cells, lens, grid = gridded.mask_table()
+        for row, cid in enumerate(cells.tolist()):
+            mask = gridded.busy_mask(cid)
+            assert np.shares_memory(mask, grid) and not mask.flags.writeable
+            assert mask.dtype == np.bool_ and mask.size == lens[row]
+            assert np.array_equal(mask, per_cell.busy_mask(cid))
+            assert np.array_equal(mask, load_model.busy_bins(cid))
+        assert gridded.busy_mask(max(cells.tolist()) + 1) is None
+
+    def test_fota_simulator_reads_masks_from_the_grid(
+        self, load_model, dataset, monkeypatch
+    ):
+        from repro.core.preprocess import preprocess
+        from repro.core.segmentation import days_on_network
+        from repro.fota import CampaignConfig, CampaignSimulator, NaivePolicy
+
+        pre = preprocess(dataset.batch)
+        days = days_on_network(pre.full, load_model.clock)
+        config = CampaignConfig(update_bytes=5e8, window_days=3)
+        # The old behaviour: each visited cell's mask synthesized on its own.
+        per_cell = BusySchedule(
+            {cid: load_model.busy_bins(cid) for cid in pre.truncated.cell_ids()}
+        )
+        expected = CampaignSimulator(pre.truncated, per_cell, days).run(
+            NaivePolicy(), config
+        )
+        assert expected.busy_byte_fraction > 0
+
+        def no_per_cell_series(*args, **kwargs):
+            raise AssertionError("busy mask synthesized cell by cell")
+
+        monkeypatch.setattr(load_model, "busy_bins", no_per_cell_series)
+        schedule = BusySchedule.from_load_model(load_model)
+        simulator = CampaignSimulator(pre.truncated, schedule, days)
+        assert schedule._table is not None
+        got = simulator.run(NaivePolicy(), config)
+        assert got == expected
+
 
 class TestBusyExposure:
     def test_all_time_busy(self):

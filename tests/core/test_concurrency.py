@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_WEEK, DAY, StudyClock
 from repro.cdr.records import CDRBatch, ConnectionRecord
@@ -11,6 +13,7 @@ from repro.core.concurrency import (
     concurrency_counts,
     fold_to_day,
     weekly_concurrency,
+    weekly_concurrency_fused,
 )
 
 
@@ -128,6 +131,146 @@ class TestWeeklyConcurrency:
     def test_too_short_study_raises(self):
         with pytest.raises(ValueError):
             weekly_concurrency([], StudyClock(n_days=5))
+
+
+def assert_fused_matches_reference(records, cell_ids, clock, gap=30.0):
+    """``weekly_concurrency_fused`` equals the per-cell reference bit for bit."""
+    batch = CDRBatch(records)
+    by_cell = batch.by_cell()
+    expected = np.stack(
+        [weekly_concurrency(by_cell.get(cid, []), clock, gap) for cid in cell_ids]
+    )
+    got = weekly_concurrency_fused(batch.columnar(), cell_ids, clock, gap)
+    assert got.dtype == expected.dtype
+    assert got.shape == (len(cell_ids), BINS_PER_WEEK)
+    assert np.array_equal(got, expected)
+    return got
+
+
+TWO_WEEKS = StudyClock(start_weekday=0, n_days=14)
+
+
+class TestWeeklyConcurrencyFused:
+    def test_gap_of_exactly_the_rule_joins(self):
+        # 30.0 s apart joins, so the car counts once across the boundary.
+        records = [rec(BIN_SECONDS - 60, dur=30.0), rec(BIN_SECONDS, dur=10.0)]
+        got = assert_fused_matches_reference(records, [1], TWO_WEEKS)
+        assert got[0, 0] == got[0, 1] == 0.5
+        # A gap shorter than a bin never skips one, so only a rule wider
+        # than a bin shows the join in the counts: bins 1 and 2 are
+        # covered by the joined session alone.
+        records = [rec(0.0, dur=600.0), rec(600.0 + 1800.0, dur=10.0)]
+        got = assert_fused_matches_reference(records, [1], TWO_WEEKS, gap=1800.0)
+        assert got[0, :3].tolist() == [0.5, 0.5, 0.5]
+
+    def test_gap_just_over_the_rule_splits(self):
+        # Each second record starts one ulp after the first one's end + gap.
+        records = [rec(100.0, dur=50.0), rec(np.nextafter(180.0, np.inf), dur=50.0)]
+        assert_fused_matches_reference(records, [1], TWO_WEEKS)
+        records = [
+            rec(BIN_SECONDS - 60, dur=29.0),
+            rec(np.nextafter(BIN_SECONDS - 1.0, np.inf), dur=1.0),
+        ]
+        assert_fused_matches_reference(records, [1], TWO_WEEKS)
+        records = [rec(0.0, dur=600.0), rec(np.nextafter(2400.0, np.inf), dur=10.0)]
+        got = assert_fused_matches_reference(records, [1], TWO_WEEKS, gap=1800.0)
+        assert got[0, :3].tolist() == [0.5, 0.0, 0.5]
+
+    def test_overlapping_and_contained_records_of_one_car(self):
+        records = [
+            rec(0.0, dur=2000.0),
+            rec(100.0, dur=50.0),  # contained
+            rec(1900.0, dur=400.0),  # overlaps the tail
+            rec(2330.0, dur=5.0),  # 30 s after the running max end
+            rec(5000.0, dur=10.0, car="car-b"),
+        ]
+        assert_fused_matches_reference(records, [1], TWO_WEEKS)
+
+    def test_zero_and_sub_ulp_durations(self):
+        big = 13 * DAY + 0.5
+        records = [
+            rec(BIN_SECONDS * 3, dur=0.0),  # zero length on a boundary
+            rec(BIN_SECONDS * 5 + 7.0, dur=0.0, car="car-b"),
+            rec(big, dur=1e-12, car="car-c"),  # start + dur == start
+        ]
+        got = assert_fused_matches_reference(records, [1], TWO_WEEKS)
+        assert got[0, 3] == got[0, 5] == 0.5
+
+    def test_session_ending_exactly_on_a_bin_boundary(self):
+        records = [rec(BIN_SECONDS - 100, dur=80.0), rec(BIN_SECONDS - 50, dur=50.0)]
+        got = assert_fused_matches_reference(records, [1], TWO_WEEKS)
+        assert got[0, 0] == 0.5 and got[0, 1] == 0.0
+
+    def test_trailing_partial_week_and_start_weekday(self):
+        records = [
+            rec(2 * DAY + 10, car="car-a"),
+            rec(7 * DAY + 10, car="car-b"),
+            rec(9 * DAY + 10, car="car-c"),  # in the partial week of 10 days
+            rec(-30.0, dur=60.0, car="car-d"),  # straddles study start
+        ]
+        for weekday in range(7):
+            clock = StudyClock(start_weekday=weekday, n_days=10)
+            assert_fused_matches_reference(records, [1], clock)
+
+    def test_empty_busy_cells_and_rows_elsewhere(self):
+        records = [
+            rec(0.0, cell=1),
+            rec(50.0, cell=2, car="car-b"),  # not a requested cell
+            rec(60.0, cell=777, car="car-c"),  # unknown to every topology
+        ]
+        got = assert_fused_matches_reference(records, [1, 5, 9], TWO_WEEKS)
+        assert not got[1:].any()
+        assert_fused_matches_reference(records, [4], TWO_WEEKS)
+        assert_fused_matches_reference([], [1, 2], TWO_WEEKS)
+
+    def test_repeated_and_unsorted_cell_ids(self):
+        records = [rec(0.0, cell=3), rec(10.0, cell=1, car="car-b")]
+        assert_fused_matches_reference(records, [3, 1, 3], TWO_WEEKS)
+
+    def test_one_car_in_two_cells_counts_in_each(self):
+        records = [rec(0.0, cell=1), rec(30.0, cell=2)]
+        got = assert_fused_matches_reference(records, [1, 2], TWO_WEEKS)
+        assert got[0, 0] == got[1, 0] == 0.5
+
+    def test_too_short_study_raises_like_the_reference(self):
+        with pytest.raises(ValueError, match="shorter than one week"):
+            weekly_concurrency_fused(
+                CDRBatch([rec(0.0)]).columnar(), [1], StudyClock(n_days=5)
+            )
+
+
+# Starts on a coarse grid (bin-boundary and 30 s-gap collisions are
+# likely) plus a fine fraction; durations mix zero, sub-ulp, exact bins
+# and the 600 s truncation cap.
+_record_st = st.builds(
+    rec,
+    start=st.one_of(
+        st.integers(-60, 16 * 96).map(lambda k: k * 450.0),
+        st.integers(-60, 16 * 96).map(lambda k: k * 450.0 + 30.0),
+        st.floats(-1000.0, 16 * DAY, allow_nan=False),
+    ),
+    dur=st.one_of(
+        st.sampled_from([0.0, 1e-12, 30.0, 450.0, 600.0, 900.0, 1800.0]),
+        st.floats(0.0, 3000.0, allow_nan=False),
+    ),
+    car=st.sampled_from(["car-a", "car-b", "car-c"]),
+    cell=st.integers(1, 4),
+)
+
+
+@given(
+    records=st.lists(_record_st, max_size=40),
+    cell_ids=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    weekday=st.integers(0, 6),
+    n_days=st.integers(7, 16),
+    gap=st.sampled_from([0.0, 30.0, 900.0, 1800.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fused_matches_reference_on_random_batches(
+    records, cell_ids, weekday, n_days, gap
+):
+    clock = StudyClock(start_weekday=weekday, n_days=n_days)
+    assert_fused_matches_reference(records, cell_ids, clock, gap)
 
 
 class TestFoldToDay:

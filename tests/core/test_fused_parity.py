@@ -386,6 +386,13 @@ def test_pipeline_engines_produce_identical_reports(dataset):
     assert fus.handovers is not None and ref.handovers is not None
     assert np.array_equal(fus.handovers.per_session, ref.handovers.per_session)
     assert fus.handovers.type_counts == ref.handovers.type_counts
+    assert fus.clusters is not None and ref.clusters is not None
+    assert fus.clusters.cell_ids == ref.clusters.cell_ids
+    assert fus.clusters.vectors.dtype == ref.clusters.vectors.dtype
+    assert np.array_equal(fus.clusters.vectors, ref.clusters.vectors)
+    assert fus.clusters.vectors.any()
+    assert np.array_equal(fus.clusters.result.labels, ref.clusters.result.labels)
+    assert fus.clusters.ordering == ref.clusters.ordering
     assert fus.notes == ref.notes
 
 
